@@ -14,11 +14,12 @@ matter on this implementation:
 
 import pytest
 
+from repro.analysis import audit_schedule
 from repro.apps import build_qrd
 from repro.cp import Phase, Search, SolveStatus
 from repro.cp.search import first_fail, input_order, select_min_value, smallest_min
 from repro.ir import merge_pipeline_ops
-from repro.sched import schedule, verify_schedule
+from repro.sched import schedule
 from repro.sched.model import ScheduleModel
 
 
@@ -106,7 +107,7 @@ def test_ablation_alternative_architecture(once, capsys):
     with capsys.disabled():
         print(f"\nablation lanes: 4-lane={base.makespan} 8-lane={wide.makespan}")
     assert wide.makespan <= base.makespan
-    assert verify_schedule(wide) == []
+    assert audit_schedule(wide).ok
 
 
 def test_ablation_memory_encoding(once, capsys):
@@ -132,7 +133,7 @@ def test_ablation_memory_encoding(once, capsys):
         print(f"\nablation encoding: implication {s_imp.makespan} in "
               f"{t_imp:.1f}s; table {s_tab.makespan} in {t_tab:.1f}s")
     assert s_imp.makespan == s_tab.makespan
-    assert verify_schedule(s_tab) == []
+    assert audit_schedule(s_tab).ok
 
 
 def test_ablation_cse(once, capsys):
@@ -162,4 +163,4 @@ def test_ablation_cse(once, capsys):
               f"makespan {s_plain.makespan} -> {s_cse.makespan}")
     assert c_stats[0] < p_stats[0]
     assert s_cse.makespan <= s_plain.makespan
-    assert verify_schedule(s_cse) == []
+    assert audit_schedule(s_cse).ok

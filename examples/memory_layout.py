@@ -10,9 +10,9 @@ Run:  python examples/memory_layout.py
 """
 
 from repro import EITConfig, EITVector, MemoryLayout, schedule, trace
+from repro.analysis import audit_schedule
 from repro.arch.memory import figure8_examples
 from repro.ir import merge_pipeline_ops
-from repro.sched import verify_schedule
 
 
 def show_geometry() -> None:
@@ -52,7 +52,7 @@ def show_allocation_effect() -> None:
     wide = schedule(g, timeout_ms=30_000)
     print(f"paged 64-slot memory : makespan={wide.makespan}, "
           f"slots used={wide.slots_used()} (all four adds co-issue)")
-    assert verify_schedule(wide) == []
+    assert audit_schedule(wide).ok
 
     layout = MemoryLayout(wide.cfg)
     for t_issue, ops in wide.issue_map().items():

@@ -17,8 +17,8 @@ from repro import (
     simulate,
     stats,
     trace,
-    verify_schedule,
 )
+from repro.analysis import audit_schedule
 
 
 def main() -> None:
@@ -59,7 +59,7 @@ def main() -> None:
     print(f"schedule: makespan={sched.makespan} cycles, "
           f"status={sched.status.value}, "
           f"memory slots used={sched.slots_used()}")
-    assert verify_schedule(sched) == [], "independent check must pass"
+    assert audit_schedule(sched).ok, "independent check must pass"
 
     # ------------------------------------------------------------------
     # 4. Generate machine code.

@@ -38,7 +38,6 @@ from repro.sched import (
     modulo_schedule,
     overlap_iterations,
     schedule,
-    verify_schedule,
 )
 from repro.codegen import generate
 from repro.sim import simulate
@@ -65,5 +64,4 @@ __all__ = [
     "to_dot",
     "trace",
     "validate",
-    "verify_schedule",
 ]

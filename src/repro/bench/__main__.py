@@ -7,7 +7,8 @@ Usage::
     python -m repro.bench table3 [--kernels qrd,arf,matmul] [--timeout 600]
     python -m repro.bench fig3 | fig45 | fig6 | fig8
     python -m repro.bench profile [--profile-kernel qrd] [--out stats.json]
-    python -m repro.bench explore [--jobs 4] [--no-cache] [--cache-dir DIR] \
+    python -m repro.bench explore [--kernels qrd,arf,matmul] [--jobs 4] \
+                                  [--no-cache] [--cache-dir DIR] \
                                   [--out BENCH_explore.json]
     python -m repro.bench audit [--kernels qrd,arf,matmul,backsub] \
                                 [--synth 2] [--json] [--out AUDIT.json]
@@ -18,6 +19,12 @@ Usage::
     python -m repro.bench sanitize [--kernels qrd,arf,matmul,backsub] \
                                    [--json] [--out BENCH_sanitize.json]
     python -m repro.bench all
+
+Every report (``profile``, ``explore``, ``audit``, ``bounds``,
+``passes``, ``sanitize``) takes ``--json`` (print the payload instead of
+its text view) and ``--out FILE`` (write the payload), and exits nonzero
+when its payload says ``"ok": false``.  ``--kernels`` is passed through
+as given; the bracketed lists above are the defaults.
 
 ``audit`` runs every static-analysis pass (IR lint, schedule/memory
 audit, codegen hazard check, modulo audit) over the shipped kernels and
@@ -49,6 +56,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.bench.harness import (
     audit_kernels,
@@ -75,25 +83,131 @@ from repro.bench.harness import (
 )
 
 
+#: default ``--kernels`` of the paper exhibits and of the gates
+PAPER_KERNELS = "qrd,arf,matmul"
+ALL_KERNELS = "qrd,arf,matmul,backsub"
+
+
+def _ms(args: argparse.Namespace) -> float:
+    return args.timeout * 1000
+
+
+def _kernels(args: argparse.Namespace, default: str) -> List[str]:
+    return (args.kernels or default).split(",")
+
+
+#: text exhibits (``all`` runs these, in this order): name -> text
+EXHIBITS: Dict[str, Callable[[argparse.Namespace], str]] = {
+    "table1": lambda a: print_table1(*table1_memory_sweep(
+        sizes=[int(s) for s in a.sizes.split(",")], timeout_ms=_ms(a)
+    )),
+    "table2": lambda a: print_table2(table2_overlap(
+        n_iterations=a.iterations, timeout_ms=_ms(a)
+    )),
+    "table3": lambda a: print_table3(table3_modulo(
+        kernels=_kernels(a, PAPER_KERNELS), timeout_ms=_ms(a)
+    )),
+    "fig3": lambda a: fig3_ir()[1],
+    "fig45": lambda a: "\n".join(
+        f"{k}: (|V|, |E|, |Cr.P|) = {v}" for k, v in fig45_expansion().items()
+    ),
+    "fig6": lambda a: "\n".join(f"{k}: {v}" for k, v in fig6_merging().items()),
+    "fig8": lambda a: "\n".join(
+        f"matrix {name}: slots {slots}: "
+        + ("1-cycle accessible" if ok else f"NOT accessible ({reason})")
+        for name, (slots, ok, reason) in fig8_memory().items()
+    ),
+}
+
+#: JSON reports: name -> (payload builder, text view; None = the JSON).
+#: ``--json`` prints the payload, ``--out`` writes it, and a payload
+#: with ``"ok": false`` makes the exit code 1.
+REPORTS: Dict[str, Tuple[Callable[[argparse.Namespace], dict],
+                         Optional[Callable[[dict], str]]]] = {
+    "profile": (
+        lambda a: profile_solver(kernel=a.profile_kernel, timeout_ms=_ms(a)),
+        None,
+    ),
+    "explore": (
+        lambda a: explore_bench(
+            kernels=_kernels(a, PAPER_KERNELS),
+            jobs=a.jobs,
+            use_cache=not a.no_cache,
+            cache_dir=a.cache_dir,
+            timeout_ms=_ms(a),
+            modulo_timeout_ms=_ms(a),
+            optimize=a.optimize,
+        ),
+        print_explore,
+    ),
+    "audit": (
+        lambda a: audit_kernels(
+            kernels=_kernels(a, ALL_KERNELS),
+            timeout_ms=_ms(a),
+            modulo_timeout_ms=_ms(a),
+            include_reconfigs=a.include_reconfigs,
+            n_synth=a.synth,
+        ),
+        print_audit,
+    ),
+    "bounds": (
+        lambda a: bounds_report(
+            kernels=_kernels(a, ALL_KERNELS),
+            timeout_ms=_ms(a),
+            modulo_timeout_ms=_ms(a),
+            include_reconfigs=a.include_reconfigs,
+        ),
+        print_bounds,
+    ),
+    "passes": (
+        lambda a: passes_report(
+            kernels=_kernels(a, ALL_KERNELS), timeout_ms=_ms(a)
+        ),
+        print_passes,
+    ),
+    "sanitize": (
+        lambda a: sanitize_report(
+            kernels=_kernels(a, ALL_KERNELS),
+            timeout_ms=_ms(a),
+            jobs=max(a.jobs, 2),
+        ),
+        print_sanitize,
+    ),
+}
+
+
+def _run_report(name: str, args: argparse.Namespace) -> int:
+    build, render = REPORTS[name]
+    payload = build(args)
+    text = json.dumps(payload, indent=2)
+    if args.json or (render is None and not args.out):
+        print(text)
+    elif render is not None:
+        print(render(payload))
+    if args.out:
+        with open(args.out, "w") as f:
+            f.write(text + "\n")
+        print(f"wrote {args.out}")
+    return 1 if payload.get("ok") is False else 0
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(prog="python -m repro.bench")
-    p.add_argument("experiment", choices=[
-        "table1", "table2", "table3", "fig3", "fig45", "fig6", "fig8",
-        "profile", "explore", "audit", "bounds", "passes", "sanitize",
-        "all",
-    ])
+    p.add_argument("experiment", choices=[*EXHIBITS, *REPORTS, "all"])
     p.add_argument("--sizes", default="64,32,16,10",
                    help="memory sizes for table1 (comma-separated)")
     p.add_argument("--iterations", type=int, default=12,
                    help="overlap factor M for table2")
-    p.add_argument("--kernels", default="qrd,arf,matmul",
-                   help="kernels for table3")
+    p.add_argument("--kernels", default=None,
+                   help=f"comma-separated kernels (default {PAPER_KERNELS} "
+                        f"for table3/explore, {ALL_KERNELS} for "
+                        f"audit/bounds/passes/sanitize)")
     p.add_argument("--timeout", type=float, default=120.0,
                    help="solver budget per experiment, seconds")
     p.add_argument("--profile-kernel", default="qrd",
                    help="kernel for the profile experiment")
     p.add_argument("--out", default=None,
-                   help="write profile/explore JSON here instead of stdout")
+                   help="write a report's JSON payload here")
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes for the explore sweep")
     p.add_argument("--optimize", action="store_true",
@@ -109,154 +223,17 @@ def main(argv=None) -> int:
                    help="audit modulo schedules with in-model "
                         "reconfigurations (much slower solves)")
     p.add_argument("--json", action="store_true",
-                   help="emit the audit payload as JSON on stdout")
+                   help="emit a report's payload as JSON on stdout")
     args = p.parse_args(argv)
 
     rc = 0
-
-    todo = (
-        ["table1", "table2", "table3", "fig3", "fig45", "fig6", "fig8"]
-        if args.experiment == "all"
-        else [args.experiment]
-    )
+    todo = list(EXHIBITS) if args.experiment == "all" else [args.experiment]
     for exp in todo:
         print(f"=== {exp} ===")
-        if exp == "table1":
-            sizes = [int(s) for s in args.sizes.split(",")]
-            rows, props = table1_memory_sweep(
-                sizes=sizes, timeout_ms=args.timeout * 1000
-            )
-            print(print_table1(rows, props))
-        elif exp == "table2":
-            print(print_table2(table2_overlap(
-                n_iterations=args.iterations, timeout_ms=args.timeout * 1000
-            )))
-        elif exp == "table3":
-            kernels = args.kernels.split(",")
-            print(print_table3(table3_modulo(
-                kernels=kernels, timeout_ms=args.timeout * 1000
-            )))
-        elif exp == "fig3":
-            _, dot = fig3_ir()
-            print(dot)
-        elif exp == "fig45":
-            for k, v in fig45_expansion().items():
-                print(f"{k}: (|V|, |E|, |Cr.P|) = {v}")
-        elif exp == "fig6":
-            for k, v in fig6_merging().items():
-                print(f"{k}: {v}")
-        elif exp == "fig8":
-            for name, (slots, ok, reason) in fig8_memory().items():
-                verdict = "1-cycle accessible" if ok else f"NOT accessible ({reason})"
-                print(f"matrix {name}: slots {slots}: {verdict}")
-        elif exp == "explore":
-            kernels = args.kernels.split(",")
-            payload = explore_bench(
-                kernels=kernels,
-                jobs=args.jobs,
-                use_cache=not args.no_cache,
-                cache_dir=args.cache_dir,
-                timeout_ms=args.timeout * 1000,
-                modulo_timeout_ms=args.timeout * 1000,
-                optimize=args.optimize,
-            )
-            print(print_explore(payload))
-            if args.out:
-                with open(args.out, "w") as f:
-                    f.write(json.dumps(payload, indent=2) + "\n")
-                print(f"wrote {args.out}")
-        elif exp == "audit":
-            kernels = args.kernels.split(",")
-            if "backsub" not in kernels and args.kernels == "qrd,arf,matmul":
-                kernels.append("backsub")  # default set audits all four
-            payload = audit_kernels(
-                kernels=kernels,
-                timeout_ms=args.timeout * 1000,
-                modulo_timeout_ms=args.timeout * 1000,
-                include_reconfigs=args.include_reconfigs,
-                n_synth=args.synth,
-            )
-            if args.json:
-                print(json.dumps(payload, indent=2))
-            else:
-                print(print_audit(payload))
-            if args.out:
-                with open(args.out, "w") as f:
-                    f.write(json.dumps(payload, indent=2) + "\n")
-                print(f"wrote {args.out}")
-            if not payload["ok"]:
-                rc = 1
-        elif exp == "bounds":
-            kernels = args.kernels.split(",")
-            if "backsub" not in kernels and args.kernels == "qrd,arf,matmul":
-                kernels.append("backsub")  # default set covers all four
-            payload = bounds_report(
-                kernels=kernels,
-                timeout_ms=args.timeout * 1000,
-                modulo_timeout_ms=args.timeout * 1000,
-                include_reconfigs=args.include_reconfigs,
-            )
-            if args.json:
-                print(json.dumps(payload, indent=2))
-            else:
-                print(print_bounds(payload))
-            if args.out:
-                with open(args.out, "w") as f:
-                    f.write(json.dumps(payload, indent=2) + "\n")
-                print(f"wrote {args.out}")
-            if not payload["ok"]:
-                rc = 1
-        elif exp == "passes":
-            kernels = args.kernels.split(",")
-            if "backsub" not in kernels and args.kernels == "qrd,arf,matmul":
-                kernels.append("backsub")  # default set covers all four
-            payload = passes_report(
-                kernels=kernels,
-                timeout_ms=args.timeout * 1000,
-            )
-            if args.json:
-                print(json.dumps(payload, indent=2))
-            else:
-                print(print_passes(payload))
-            if args.out:
-                with open(args.out, "w") as f:
-                    f.write(json.dumps(payload, indent=2) + "\n")
-                print(f"wrote {args.out}")
-            if not payload["ok"]:
-                rc = 1
-        elif exp == "sanitize":
-            kernels = args.kernels.split(",")
-            if "backsub" not in kernels and args.kernels == "qrd,arf,matmul":
-                kernels.append("backsub")  # default set covers all four
-            payload = sanitize_report(
-                kernels=kernels,
-                timeout_ms=args.timeout * 1000,
-                jobs=max(args.jobs, 2),
-            )
-            if args.json:
-                print(json.dumps(payload, indent=2))
-            else:
-                print(print_sanitize(payload))
-            if args.out:
-                with open(args.out, "w") as f:
-                    f.write(json.dumps(payload, indent=2) + "\n")
-                print(f"wrote {args.out}")
-            if not payload["ok"]:
-                rc = 1
-        elif exp == "profile":
-            payload = json.dumps(
-                profile_solver(
-                    kernel=args.profile_kernel,
-                    timeout_ms=args.timeout * 1000,
-                ),
-                indent=2,
-            )
-            if args.out:
-                with open(args.out, "w") as f:
-                    f.write(payload + "\n")
-                print(f"wrote {args.out}")
-            else:
-                print(payload)
+        if exp in EXHIBITS:
+            print(EXHIBITS[exp](args))
+        else:
+            rc = max(rc, _run_report(exp, args))
         print()
     return rc
 

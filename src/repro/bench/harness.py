@@ -752,7 +752,6 @@ def sanitize_report(
         fingerprint_equality_report,
         lint_against_baseline,
     )
-    from repro.sched.parallel import modulo_schedule_parallel
 
     all_ok = True
     results: List[Dict[str, object]] = []
@@ -817,9 +816,7 @@ def sanitize_report(
     for name in fingerprint_kernels:
         g = prepared(name)
         seq = modulo_schedule(g, cfg, timeout_ms=timeout_ms)
-        par = modulo_schedule_parallel(
-            g, cfg, timeout_ms=timeout_ms, jobs=jobs
-        )
+        par = modulo_schedule(g, cfg, timeout_ms=timeout_ms, jobs=jobs)
         rep = fingerprint_equality_report(
             name,
             {

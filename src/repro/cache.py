@@ -219,16 +219,7 @@ class CacheStats:
     bound_pruned: int = 0
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "evictions": self.evictions,
-            "disk_hits": self.disk_hits,
-            "solver_nodes": self.solver_nodes,
-            "audit_rejections": self.audit_rejections,
-            "bound_pruned": self.bound_pruned,
-        }
+        return asdict(self)
 
     @property
     def hit_rate(self) -> float:

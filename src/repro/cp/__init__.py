@@ -63,7 +63,6 @@ from repro.cp.search import (
     Phase,
     Search,
     SearchResult,
-    SearchStats,
     SolveStatus,
     first_fail,
     input_order,
@@ -95,7 +94,6 @@ __all__ = [
     "ScaledDiv",
     "Search",
     "SearchResult",
-    "SearchStats",
     "SolveStatus",
     "SolverStats",
     "Store",

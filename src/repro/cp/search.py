@@ -31,7 +31,7 @@ from enum import Enum
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.cp.engine import Inconsistency, Store
-from repro.cp.stats import SearchStats, SolverStats
+from repro.cp.stats import SolverStats
 from repro.cp.var import IntVar
 
 VarSelect = Callable[[Sequence[IntVar]], Optional[IntVar]]

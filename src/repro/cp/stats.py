@@ -7,9 +7,6 @@ substrate.  The :class:`~repro.cp.engine.Store` counts propagator work
 backtracks, peak depth), per-phase effort, and the incumbent timeline of
 a branch-and-bound run.  Everything is plain data — ``as_dict()`` gives
 the JSON payload the bench harness and the CI quick-profile job upload.
-
-``SearchStats`` is kept as a backwards-compatible alias: result objects
-throughout :mod:`repro.sched` carry the same type under the old name.
 """
 
 from __future__ import annotations
@@ -152,7 +149,3 @@ def combine_fingerprints(a: Optional[str], b: Optional[str]) -> Optional[str]:
     if b is None:
         return a
     return bytes(x ^ y for x, y in zip(bytes.fromhex(a), bytes.fromhex(b))).hex()
-
-
-#: Backwards-compatible name used by :mod:`repro.sched.result` and tests.
-SearchStats = SolverStats

@@ -298,10 +298,36 @@ def optimize_graph(
     )
 
 
+def optimize_for_solve(
+    graph: Graph,
+    passes: Optional[Sequence[str]] = None,
+    audit: bool = False,
+) -> PassPipelineResult:
+    """The ``optimize=True`` prelude every solve entry point shares.
+
+    Runs :func:`optimize_graph`; a graph the pre-flight lint rejects
+    raises :class:`repro.analysis.AuditError` instead of being silently
+    scheduled un-optimized.  With ``audit`` the whole certificate chain
+    is re-verified first (:func:`repro.analysis.verify_pipeline`,
+    including differential-evaluation equivalence).
+    """
+    from repro.analysis import AuditError, verify_pipeline
+
+    opt = optimize_graph(graph, passes=passes)
+    if not opt.report.ok:
+        raise AuditError(opt.report)
+    if audit:
+        chain_report = verify_pipeline(opt.certificates, graph, opt.graph)
+        if not chain_report.ok:
+            raise AuditError(chain_report)
+    return opt
+
+
 __all__ = [
     "DEFAULT_PIPELINE",
     "PASS_REGISTRY",
     "PassPipelineResult",
+    "optimize_for_solve",
     "optimize_graph",
     "pipeline_signature",
 ]

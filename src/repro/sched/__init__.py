@@ -19,7 +19,7 @@
   including reconfigurations (Table 3).
 """
 
-from repro.sched.result import Schedule, verify_schedule
+from repro.sched.result import Schedule
 from repro.sched.list_sched import greedy_schedule
 from repro.sched.model import ScheduleModel
 from repro.sched.scheduler import schedule
@@ -51,5 +51,4 @@ __all__ = [
     "architect_optimize",
     "overlap_blocks",
     "schedule",
-    "verify_schedule",
 ]

@@ -19,15 +19,30 @@ before, so a warm rerun of a full sweep performs zero CP search.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.arch.eit import DEFAULT_CONFIG, EITConfig
+from repro.cp.search import SolveStatus
 from repro.cp.stats import SolverStats
 from repro.ir import merge_pipeline_ops
 from repro.ir.graph import Graph
-from repro.sched.modulo import derive_per_ii_timeout, modulo_schedule
-from repro.sched.scheduler import schedule
+from repro.sched.modulo import derive_per_ii_timeout, no_window_result
+from repro.sched.scheduler import infeasible_schedule
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.analysis.equivalence import PassCertificate
+    from repro.cache import ScheduleCache
 
 #: ready-made profiles for sweeps (the paper's instance plus variants)
 STANDARD_PROFILES: Dict[str, EITConfig] = {
@@ -61,15 +76,7 @@ class DesignPoint:
         return self.makespan >= 0
 
     def as_dict(self) -> Dict[str, object]:
-        return {
-            "kernel": self.kernel,
-            "profile": self.profile,
-            "makespan": self.makespan,
-            "slots_used": self.slots_used,
-            "status": self.status,
-            "modulo_ii": self.modulo_ii,
-            "modulo_throughput": self.modulo_throughput,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -227,25 +234,16 @@ def explore_detailed(
 
     # Certified optimization happens in the parent too: workers receive
     # the rewritten graphs; the certificate chains ride in the payloads.
-    cert_dicts: Dict[str, List[Dict]] = {}
+    pass_certs: Dict[str, Tuple["PassCertificate", ...]] = {}
     passes_sig: Optional[str] = None
     if optimize:
-        from repro.analysis import AuditError, verify_pipeline
-        from repro.ir.passes import optimize_graph, pipeline_signature
+        from repro.ir.passes import optimize_for_solve, pipeline_signature
 
         passes_sig = pipeline_signature(passes)
         for kname, graph in list(graphs.items()):
-            opt = optimize_graph(graph, passes=passes)
-            if not opt.report.ok:
-                raise AuditError(opt.report)
-            if audit:
-                chain_report = verify_pipeline(
-                    opt.certificates, graph, opt.graph
-                )
-                if not chain_report.ok:
-                    raise AuditError(chain_report)
+            opt = optimize_for_solve(graph, passes, audit)
             graphs[kname] = opt.graph
-            cert_dicts[kname] = [c.as_dict() for c in opt.certificates]
+            pass_certs[kname] = opt.certificates
             outcome.ir_nodes_removed += opt.nodes_removed
             outcome.pass_certificates += len(opt.certificates)
 
@@ -264,36 +262,18 @@ def explore_detailed(
         if cert is not None:
             # The whole cell is provably infeasible before any search:
             # synthesize both payloads, touch neither the cache nor the
-            # pool.  Zero CP nodes, zero cache traffic.
-            payloads[f"{kname}/{pname}/schedule"] = {
-                "kind": "schedule",
-                "makespan": -1,
-                "starts": {},
-                "slots": {},
-                "status": "infeasible",
-                "solve_time_ms": 0.0,
-                "fallback": False,
-                "certificate": cert.as_dict(),
-                "pass_certificates": cert_dicts.get(kname, []),
-            }
-            # a memory-dead cell reports no steady-state throughput
-            # either: the modulo model assumes the flat allocation exists
-            payloads[f"{kname}/{pname}/modulo"] = {
-                "kind": "modulo",
-                "graph_name": graph.name,
-                "include_reconfigs": include_reconfigs,
-                "ii": -1,
-                "n_reconfigurations": 0,
-                "actual_ii": -1,
-                "status": "infeasible",
-                "opt_time_ms": 0.0,
-                "offsets": {},
-                "stages": {},
-                "tried": [],
-                "fallback": False,
-                "certificate": None,
-                "pass_certificates": cert_dicts.get(kname, []),
-            }
+            # pool.  Zero CP nodes, zero cache traffic.  A memory-dead
+            # cell reports no steady-state throughput either: the modulo
+            # model assumes the flat allocation exists.
+            flat = infeasible_schedule(graph, cfg, certificate=cert)
+            modulo = no_window_result(
+                graph, include_reconfigs, SolveStatus.INFEASIBLE
+            )
+            flat.pass_certificates = modulo.pass_certificates = (
+                pass_certs.get(kname, ())
+            )
+            payloads[f"{kname}/{pname}/schedule"] = schedule_payload(flat)
+            payloads[f"{kname}/{pname}/modulo"] = to_modulo_payload(modulo)
             if cache is not None:
                 cache.stats.bound_pruned += 1
             continue
@@ -352,12 +332,11 @@ def explore_detailed(
 
                 raise AuditError(failing)  # fresh solve: a solver bug
         payload = dict(res.payload)
-        if passes_sig is not None:
-            # fresh payloads carry their kernel's certificate chain, so
-            # it survives the cache (both tiers) and later rehydration
-            payload["pass_certificates"] = cert_dicts.get(
-                req_id.split("/", 1)[0], []
-            )
+        # fresh payloads carry their kernel's certificate chain, so it
+        # survives the cache (both tiers) and later rehydration
+        payload["pass_certificates"] = [
+            c.as_dict() for c in pass_certs.get(req_id.split("/", 1)[0], ())
+        ]
         payloads[req_id] = payload
         if res.stats is not None:
             outcome.solver.merge(res.stats)
@@ -395,30 +374,13 @@ def explore_detailed(
 def explore(
     kernels: Mapping[str, Callable[[], Graph]],
     profiles: Optional[Mapping[str, EITConfig]] = None,
-    timeout_ms: float = 30_000.0,
-    modulo_timeout_ms: float = 30_000.0,
-    include_reconfigs: bool = False,
-    jobs: int = 1,
-    cache: Optional["ScheduleCache"] = None,
-    audit: bool = False,
-    sanitize=False,
-    optimize: bool = False,
-    passes: Optional[Sequence[str]] = None,
+    **options: Any,
 ) -> List[DesignPoint]:
-    """Evaluate every kernel on every profile (see :func:`explore_detailed`)."""
-    return explore_detailed(
-        kernels,
-        profiles,
-        timeout_ms=timeout_ms,
-        modulo_timeout_ms=modulo_timeout_ms,
-        include_reconfigs=include_reconfigs,
-        jobs=jobs,
-        cache=cache,
-        audit=audit,
-        sanitize=sanitize,
-        optimize=optimize,
-        passes=passes,
-    ).points
+    """Evaluate every kernel on every profile; the points only.
+
+    ``options`` are :func:`explore_detailed`'s keyword arguments.
+    """
+    return explore_detailed(kernels, profiles, **options).points
 
 
 def pareto_front(

@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.arch.eit import DEFAULT_CONFIG, EITConfig, ResourceKind
-from repro.arch.isa import OpCategory
 from repro.arch.reconfig import cyclic_config_runs, steady_state_overhead
 from repro.cp import (
     Cumulative,
@@ -46,7 +45,6 @@ from repro.cp import (
     ScaledDiv,
     Inconsistency,
     IntVar,
-    LinearLeq,
     Neq,
     Phase,
     Search,
@@ -57,8 +55,9 @@ from repro.cp import (
 )
 from repro.cp.constraints.alldiff import AllDifferent
 from repro.cp.constraints.cyclic import CyclicDistance
-from repro.cp.search import first_fail, input_order, select_min_value, smallest_min
+from repro.cp.search import select_min_value, smallest_min
 from repro.ir.graph import Graph, OpNode
+from repro.ir.passes import optimize_for_solve
 from repro.sched.list_sched import greedy_schedule
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -170,9 +169,8 @@ def ii_search_range(
     A caller-imposed ``max_ii`` below ``lb`` raises ``ValueError``: the
     window is provably empty, and silently returning an inverted range
     used to make ``range(lb, hi + 1)`` iterate zero candidates and
-    report a misleading bare INFEASIBLE.  Callers that want a result
-    object instead use :func:`empty_ii_window_result`, which both the
-    sequential loop and the parallel racer return for this case.
+    report a misleading bare INFEASIBLE.  :func:`modulo_schedule`
+    returns :func:`empty_ii_window_result` for this case instead.
     """
     flat = greedy_schedule(graph, cfg)
     lb = resource_lower_bound(graph, cfg, include_reconfigs)
@@ -424,13 +422,36 @@ def result_from_solution(
     )
 
 
-def empty_ii_window_result(
+def no_window_result(
     graph: Graph,
-    cfg: EITConfig,
     include_reconfigs: bool,
-    max_ii: int,
-    lb: int,
+    status: SolveStatus,
     opt_time_ms: float = 0.0,
+    tried: Optional[List[Tuple[int, str]]] = None,
+    search_stats: Optional[SolverStats] = None,
+    certificate: Optional["Certificate"] = None,
+) -> ModuloResult:
+    """The result of a search that found no window (``ii = -1``).
+
+    ``status`` is INFEASIBLE when every candidate was proven infeasible
+    (or a certificate proves the window empty), TIMEOUT otherwise.
+    """
+    return ModuloResult(
+        graph_name=graph.name,
+        include_reconfigs=include_reconfigs,
+        ii=-1,
+        n_reconfigurations=0,
+        actual_ii=-1,
+        status=status,
+        opt_time_ms=opt_time_ms,
+        tried=tried if tried is not None else [],
+        search_stats=search_stats,
+        certificate=certificate,
+    )
+
+
+def empty_ii_window_result(
+    graph: Graph, include_reconfigs: bool, max_ii: int, lb: int
 ) -> ModuloResult:
     """Certified INFEASIBLE for a ``max_ii`` below the resource bound.
 
@@ -442,14 +463,10 @@ def empty_ii_window_result(
     """
     from repro.analysis.certify import Certificate
 
-    return ModuloResult(
-        graph_name=graph.name,
-        include_reconfigs=include_reconfigs,
-        ii=-1,
-        n_reconfigurations=0,
-        actual_ii=-1,
-        status=SolveStatus.INFEASIBLE,
-        opt_time_ms=opt_time_ms,
+    return no_window_result(
+        graph,
+        include_reconfigs,
+        SolveStatus.INFEASIBLE,
         tried=[
             (w, "skipped: below resource lower bound")
             for w in range(1, max_ii + 1)
@@ -487,11 +504,9 @@ def greedy_modulo_fallback(
     stages = {op.nid: 0 for op in graph.op_nodes()}
     stream = window_config_stream(graph, offsets, window)
     n_rec = cyclic_config_runs(stream)
+    actual = window + steady_state_overhead(stream, cfg.reconfig_cost)
     if include_reconfigs:
-        actual = window + steady_state_overhead(stream, cfg.reconfig_cost)
         window = actual
-    else:
-        actual = window + steady_state_overhead(stream, cfg.reconfig_cost)
     return ModuloResult(
         graph_name=graph.name,
         include_reconfigs=include_reconfigs,
@@ -524,13 +539,14 @@ def modulo_schedule(
 
     Iterates candidate windows upward from the resource lower bound,
     solving one satisfaction CSP each, within a global time budget.
-    With ``jobs > 1`` a window of candidate IIs is raced in parallel
-    (see :func:`repro.sched.parallel.modulo_schedule_parallel`); the
-    result is still the *minimal* feasible II, identical to the
-    sequential search.  With ``audit=True`` any found window (including
-    a greedy-degraded one from the parallel racer) is re-checked by the
-    independent analyser (:func:`repro.analysis.audit_modulo`), raising
-    :class:`repro.analysis.AuditError` on violations.
+    With ``jobs > 1`` the candidate IIs are raced across a worker pool
+    instead (see :mod:`repro.sched.parallel`); the result is still the
+    *minimal* feasible II, identical to the sequential search.  With
+    ``audit=True`` every result passes one gate (:func:`audited_modulo`):
+    a found window is re-checked by the independent analyser
+    (:func:`repro.analysis.audit_modulo`) and any certificate is
+    re-verified, raising :class:`repro.analysis.AuditError` on
+    violations.
 
     ``optimize=True`` first runs the certified IR optimization pipeline
     (:func:`repro.ir.passes.optimize_graph`) and schedules the rewritten
@@ -546,89 +562,65 @@ def modulo_schedule(
     :class:`repro.analysis.AuditError` on any finding; with ``jobs > 1``
     the flag travels to the pool workers in the solve request.
     """
+    pass_certificates: Tuple["PassCertificate", ...] = ()
     if optimize:
-        from repro.analysis import AuditError, verify_pipeline
-        from repro.ir.passes import optimize_graph
+        opt = optimize_for_solve(graph, passes, audit)
+        graph, pass_certificates = opt.graph, opt.certificates
 
-        opt = optimize_graph(graph, passes=passes)
-        if not opt.report.ok:
-            raise AuditError(opt.report)
-        if audit:
-            chain_report = verify_pipeline(opt.certificates, graph, opt.graph)
-            if not chain_report.ok:
-                raise AuditError(chain_report)
-        result = modulo_schedule(
-            opt.graph,
-            cfg=cfg,
-            include_reconfigs=include_reconfigs,
-            timeout_ms=timeout_ms,
-            max_ii=max_ii,
-            per_ii_timeout_ms=per_ii_timeout_ms,
-            jobs=jobs,
-            audit=audit,
-            sanitize=sanitize,
-            optimize=False,
+    lb = resource_lower_bound(graph, cfg, include_reconfigs)
+    if max_ii is not None and max_ii < lb:
+        # certified-empty candidate window: report the skipped range
+        # instead of silently iterating zero candidates
+        result = empty_ii_window_result(graph, include_reconfigs, max_ii, lb)
+    else:
+        t0 = time.monotonic()
+        lb, hi, flat_makespan = ii_search_range(
+            graph, cfg, include_reconfigs, max_ii
         )
-        result.pass_certificates = tuple(opt.certificates)
-        return result
+        if jobs > 1 and lb < hi:
+            from repro.sched.parallel import _race_candidates
 
-    if max_ii is not None:
-        lb = resource_lower_bound(graph, cfg, include_reconfigs)
-        if max_ii < lb:
-            # certified-empty candidate window: report the skipped range
-            # instead of silently iterating zero candidates
-            return audited_modulo(
-                empty_ii_window_result(
-                    graph, cfg, include_reconfigs, max_ii, lb
-                ),
-                graph,
-                cfg,
-                audit,
+            result = _race_candidates(
+                graph, cfg, include_reconfigs, lb, hi, flat_makespan, t0,
+                timeout_ms, per_ii_timeout_ms, jobs, sanitize,
             )
+        else:
+            result = _ladder(
+                graph, cfg, include_reconfigs, lb, hi, flat_makespan, t0,
+                timeout_ms, per_ii_timeout_ms, sanitize,
+            )
+    result.pass_certificates = pass_certificates
+    return audited_modulo(result, graph, cfg, audit)
 
-    if jobs > 1:
-        from repro.sched.parallel import modulo_schedule_parallel
 
-        return modulo_schedule_parallel(
-            graph,
-            cfg,
-            include_reconfigs=include_reconfigs,
-            timeout_ms=timeout_ms,
-            max_ii=max_ii,
-            per_ii_timeout_ms=per_ii_timeout_ms,
-            jobs=jobs,
-            audit=audit,
-            sanitize=sanitize,
-        )
-
-    t0 = time.monotonic()
-    lb, hi, flat_makespan = ii_search_range(graph, cfg, include_reconfigs, max_ii)
+def _ladder(
+    graph: Graph,
+    cfg: EITConfig,
+    include_reconfigs: bool,
+    lb: int,
+    hi: int,
+    flat_makespan: int,
+    t0: float,
+    timeout_ms: float,
+    per_ii_timeout_ms: Optional[float],
+    sanitize,
+) -> ModuloResult:
+    """The sequential scan: the first feasible window of ``lb..hi``."""
     tried: List[Tuple[int, str]] = []
     merged = SolverStats()
     proven_all_below = True
 
     for window in range(lb, hi + 1):
-        elapsed = (time.monotonic() - t0) * 1000.0
-        remaining = timeout_ms - elapsed
+        remaining = timeout_ms - (time.monotonic() - t0) * 1000.0
         if remaining <= 0:
-            return ModuloResult(
-                graph_name=graph.name,
-                include_reconfigs=include_reconfigs,
-                ii=-1,
-                n_reconfigurations=0,
-                actual_ii=-1,
-                status=SolveStatus.TIMEOUT,
-                opt_time_ms=elapsed,
-                tried=tried,
-                search_stats=merged,
-            )
-        max_stages = stages_for_window(flat_makespan, window)
+            proven_all_below = False
+            break
         budget = remaining
         if per_ii_timeout_ms is not None:
             budget = min(budget, per_ii_timeout_ms)
         solution, status, run_stats = try_candidate(
-            graph, cfg, window, include_reconfigs, budget, max_stages,
-            sanitize=sanitize,
+            graph, cfg, window, include_reconfigs, budget,
+            stages_for_window(flat_makespan, window), sanitize=sanitize,
         )
         merged.merge(run_stats)
         tried.append((window, status.value))
@@ -636,34 +628,26 @@ def modulo_schedule(
             if status is not SolveStatus.INFEASIBLE:
                 proven_all_below = False
             continue
-        return audited_modulo(
-            result_from_solution(
-                graph,
-                cfg,
-                include_reconfigs,
-                window,
-                solution,
-                proven_all_below,
-                (time.monotonic() - t0) * 1000.0,
-                tried,
-                search_stats=merged,
-                decision_fingerprint=run_stats.trace_fingerprint,
-            ),
+        return result_from_solution(
             graph,
             cfg,
-            audit,
+            include_reconfigs,
+            window,
+            solution,
+            proven_all_below,
+            (time.monotonic() - t0) * 1000.0,
+            tried,
+            search_stats=merged,
+            decision_fingerprint=run_stats.trace_fingerprint,
         )
 
-    return ModuloResult(
-        graph_name=graph.name,
-        include_reconfigs=include_reconfigs,
-        ii=-1,
-        n_reconfigurations=0,
-        actual_ii=-1,
-        status=SolveStatus.INFEASIBLE if proven_all_below else SolveStatus.TIMEOUT,
-        opt_time_ms=(time.monotonic() - t0) * 1000.0,
-        tried=tried,
-        search_stats=merged,
+    return no_window_result(
+        graph,
+        include_reconfigs,
+        SolveStatus.INFEASIBLE if proven_all_below else SolveStatus.TIMEOUT,
+        (time.monotonic() - t0) * 1000.0,
+        tried,
+        merged,
     )
 
 
@@ -698,20 +682,3 @@ def audited_modulo(
         if not report.ok:
             raise AuditError(report)
     return result
-
-
-def verify_modulo(
-    result: ModuloResult, graph: Graph, cfg: EITConfig = DEFAULT_CONFIG
-) -> List[str]:
-    """Independent re-check of a modulo schedule; returns violations.
-
-    Deprecated shim over :func:`repro.analysis.audit_modulo`, which
-    re-derives the per-offset resource, configuration and wraparound
-    checks from scratch.  Returns a
-    :class:`~repro.sched.result.VerificationErrors` — a ``List[str]``
-    whose ``.report`` carries the structured diagnostics.
-    """
-    from repro.analysis import audit_modulo
-    from repro.sched.result import VerificationErrors
-
-    return VerificationErrors(audit_modulo(result, graph, cfg))

@@ -16,10 +16,10 @@ too.  This module turns that independence into wall-clock speedup:
   per-task watchdog timeouts and crash isolation: a worker that dies
   (or hangs past its deadline) degrades *that request* to the greedy
   fallback instead of killing the sweep.
-* :func:`modulo_schedule_parallel` — race a window of candidate IIs;
-  the result is the *minimal* feasible II, assembled through the same
-  code path as the sequential search so the two are identical
-  (asserted by ``tests/sched/test_parallel.py``).
+* the racing backend of ``modulo_schedule(jobs=N)`` — race a window
+  of candidate IIs; the result is the *minimal* feasible II, assembled
+  through the same code path as the sequential search so the two are
+  identical (asserted by ``tests/sched/test_parallel.py``).
 
 Determinism: workers run exactly the functions the sequential path
 runs, on the same inputs; given budgets large enough that no candidate
@@ -35,28 +35,23 @@ import time
 import traceback
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Optional, Sequence, Tuple
 
-from repro.arch.eit import DEFAULT_CONFIG, EITConfig
+from repro.arch.eit import EITConfig
 from repro.cp.search import SolveStatus
 from repro.cp.stats import SolverStats
 from repro.ir.graph import Graph
-from repro.sched.list_sched import greedy_schedule
 from repro.sched.modulo import (
     ModuloResult,
-    audited_modulo,
-    empty_ii_window_result,
     greedy_modulo_fallback,
-    ii_search_range,
     modulo_schedule,
-    resource_lower_bound,
+    no_window_result,
     result_from_solution,
     stages_for_window,
     try_candidate,
 )
-from repro.sched.result import Schedule
-from repro.sched.scheduler import schedule
+from repro.sched.scheduler import greedy_fallback, schedule
 
 #: extra wall-clock (ms) a worker gets beyond its solver budget before
 #: the parent declares it hung and degrades the request.
@@ -141,33 +136,23 @@ def run_request(req: SolveRequest) -> SolveResult:
     process to exercise crash isolation in tests.
     """
     t0 = time.monotonic()
+    payload: Any
+    stats: Optional[SolverStats]
     try:
         opts = req.opts()
         if req.kind == "schedule":
-            s = schedule(
-                req.graph, cfg=req.cfg, should_stop=_worker_should_stop, **opts
-            )
             from repro.cache import schedule_payload
 
-            return SolveResult(
-                req_id=req.req_id,
-                ok=True,
-                payload=schedule_payload(s),
-                stats=s.search_stats,
-                elapsed_ms=(time.monotonic() - t0) * 1000.0,
+            s = schedule(
+                req.graph, req.cfg, should_stop=_worker_should_stop, **opts
             )
-        if req.kind == "modulo":
-            m = modulo_schedule(req.graph, req.cfg, **opts)
+            payload, stats = schedule_payload(s), s.search_stats
+        elif req.kind == "modulo":
             from repro.cache import modulo_payload
 
-            return SolveResult(
-                req_id=req.req_id,
-                ok=True,
-                payload=modulo_payload(m),
-                stats=m.search_stats,
-                elapsed_ms=(time.monotonic() - t0) * 1000.0,
-            )
-        if req.kind == "modulo_try":
+            m = modulo_schedule(req.graph, req.cfg, **opts)
+            payload, stats = modulo_payload(m), m.search_stats
+        elif req.kind == "modulo_try":
             solution, status, stats = try_candidate(
                 req.graph,
                 req.cfg,
@@ -178,16 +163,18 @@ def run_request(req: SolveRequest) -> SolveResult:
                 should_stop=_worker_should_stop,
                 sanitize=opts.get("sanitize", False),
             )
-            return SolveResult(
-                req_id=req.req_id,
-                ok=True,
-                payload={"solution": solution, "status": status.value},
-                stats=stats,
-                elapsed_ms=(time.monotonic() - t0) * 1000.0,
-            )
-        if req.kind == "_test_crash":  # crash-isolation test hook
+            payload = {"solution": solution, "status": status.value}
+        elif req.kind == "_test_crash":  # crash-isolation test hook
             os._exit(13)
-        raise ValueError(f"unknown request kind {req.kind!r}")
+        else:
+            raise ValueError(f"unknown request kind {req.kind!r}")
+        return SolveResult(
+            req_id=req.req_id,
+            ok=True,
+            payload=payload,
+            stats=stats,
+            elapsed_ms=(time.monotonic() - t0) * 1000.0,
+        )
     except BaseException as exc:  # noqa: BLE001 — isolation boundary
         if isinstance(exc, (KeyboardInterrupt, SystemExit)):
             raise
@@ -271,17 +258,7 @@ def _degraded_result(req: SolveRequest, error: str) -> SolveResult:
         n_slots = opts.get("n_slots")
         if n_slots is not None:
             cfg = cfg.with_slots(n_slots)
-        greedy = greedy_schedule(req.graph, cfg)
-        payload = schedule_payload(
-            Schedule(
-                graph=req.graph,
-                cfg=cfg,
-                starts=greedy.starts,
-                makespan=greedy.makespan,
-                status=SolveStatus.TIMEOUT,
-                fallback=True,
-            )
-        )
+        payload = schedule_payload(greedy_fallback(req.graph, cfg))
     elif req.kind == "modulo":
         payload = modulo_payload(
             greedy_modulo_fallback(
@@ -299,6 +276,17 @@ def _degraded_result(req: SolveRequest, error: str) -> SolveResult:
         error=error,
         degraded=True,
     )
+
+
+def _settle(
+    req: SolveRequest, res: SolveResult, pool: Optional[WorkerPool] = None
+) -> SolveResult:
+    """A request's final result: fatal re-raises, failures degrade."""
+    if res.fatal:
+        if pool is not None:
+            pool.cancel_outstanding()
+        _reraise_fatal(res)
+    return res if res.ok else _degraded_result(req, res.error)
 
 
 def solve_many(
@@ -321,12 +309,7 @@ def solve_many(
     results: Dict[str, SolveResult] = {}
     if jobs <= 1:
         for req in requests:
-            res = run_request(req)
-            if res.fatal:
-                _reraise_fatal(res)
-            results[req.req_id] = (
-                res if res.ok else _degraded_result(req, res.error)
-            )
+            results[req.req_id] = _settle(req, run_request(req))
         return results
 
     with WorkerPool(jobs) as pool:
@@ -358,12 +341,7 @@ def solve_many(
                     res = fut.result()
                 except (BrokenProcessPool, Exception) as exc:
                     res = SolveResult(req.req_id, ok=False, error=repr(exc))
-                if res.fatal:
-                    pool.cancel_outstanding()
-                    _reraise_fatal(res)
-                results[req.req_id] = (
-                    res if res.ok else _degraded_result(req, res.error)
-                )
+                results[req.req_id] = _settle(req, res, pool)
             # watchdog: a worker hung past its budget + margin
             expired = [f for f in pending if now > deadlines[f]]
             for fut in expired:
@@ -386,27 +364,31 @@ def solve_many(
 # ----------------------------------------------------------------------
 # Racing modulo search
 # ----------------------------------------------------------------------
-def modulo_schedule_parallel(
+def _race_candidates(
     graph: Graph,
-    cfg: EITConfig = DEFAULT_CONFIG,
-    include_reconfigs: bool = False,
-    timeout_ms: float = 600_000.0,
-    max_ii: Optional[int] = None,
-    per_ii_timeout_ms: Optional[float] = None,
-    jobs: int = 2,
-    audit: bool = False,
-    sanitize=False,
+    cfg: EITConfig,
+    include_reconfigs: bool,
+    lb: int,
+    hi: int,
+    flat_makespan: int,
+    t0: float,
+    timeout_ms: float,
+    per_ii_timeout_ms: Optional[float],
+    jobs: int,
+    sanitize,
 ) -> ModuloResult:
-    """Race a window of candidate IIs across workers.
+    """Race the candidate windows ``lb..hi`` across ``jobs`` workers.
 
-    Candidates ``lb, lb+1, ...`` are solved concurrently, ``jobs`` at a
-    time.  The answer is decided exactly like the sequential scan: the
-    smallest feasible window, reported OPTIMAL only when every window
-    below it was *proven* infeasible.  The moment the winner is decided,
-    the shared cancellation event stops in-flight higher candidates at
-    their next search node, and pending ones are cancelled outright.
-    ``tried`` lists every window up to the winner with its status, in
-    window order — the same list the sequential search produces.
+    The backend of :func:`repro.sched.modulo.modulo_schedule` for
+    ``jobs > 1``.  Candidates ``lb, lb+1, ...`` are solved concurrently,
+    ``jobs`` at a time.  The answer is decided exactly like the
+    sequential scan: the smallest feasible window, reported OPTIMAL only
+    when every window below it was *proven* infeasible.  The moment the
+    winner is decided, the shared cancellation event stops in-flight
+    higher candidates at their next search node, and pending ones are
+    cancelled outright.  ``tried`` lists every window up to the winner
+    with its status, in window order — the same list the sequential
+    search produces.
 
     Bit-identity caveat: if a candidate *times out* under
     ``per_ii_timeout_ms``, its status depends on wall-clock and can
@@ -421,21 +403,6 @@ def modulo_schedule_parallel(
     :class:`repro.analysis.AuditError` in the parent rather than
     degrading to the greedy fallback.
     """
-    t0 = time.monotonic()
-    if max_ii is not None:
-        lb0 = resource_lower_bound(graph, cfg, include_reconfigs)
-        if max_ii < lb0:
-            # certified-empty candidate window: same early return as the
-            # sequential path, before any pool is spun up
-            return audited_modulo(
-                empty_ii_window_result(
-                    graph, cfg, include_reconfigs, max_ii, lb0
-                ),
-                graph,
-                cfg,
-                audit,
-            )
-    lb, hi, flat_makespan = ii_search_range(graph, cfg, include_reconfigs, max_ii)
     budget_each = per_ii_timeout_ms if per_ii_timeout_ms is not None else timeout_ms
     deadline = t0 + timeout_ms / 1000.0
 
@@ -452,22 +419,17 @@ def modulo_schedule_parallel(
                 statuses[w] is SolveStatus.INFEASIBLE
                 for w in range(lb, window)
             )
-            return audited_modulo(
-                result_from_solution(
-                    graph,
-                    cfg,
-                    include_reconfigs,
-                    window,
-                    solutions[window],
-                    proven,
-                    elapsed_ms,
-                    tried,
-                    search_stats=merged,
-                    decision_fingerprint=fingerprints.get(window),
-                ),
+            return result_from_solution(
                 graph,
                 cfg,
-                audit,
+                include_reconfigs,
+                window,
+                solutions[window],
+                proven,
+                elapsed_ms,
+                tried,
+                search_stats=merged,
+                decision_fingerprint=fingerprints.get(window),
             )
         # no feasible window: contiguous resolved prefix is what was tried
         tried = []
@@ -480,29 +442,13 @@ def modulo_schedule_parallel(
             and w > hi
             and all(s is SolveStatus.INFEASIBLE for s in statuses.values())
         )
-        return ModuloResult(
-            graph_name=graph.name,
-            include_reconfigs=include_reconfigs,
-            ii=-1,
-            n_reconfigurations=0,
-            actual_ii=-1,
-            status=SolveStatus.INFEASIBLE if all_infeasible else SolveStatus.TIMEOUT,
-            opt_time_ms=elapsed_ms,
-            tried=tried,
-            search_stats=merged,
-        )
-
-    if jobs <= 1 or lb == hi:
-        return modulo_schedule(
+        return no_window_result(
             graph,
-            cfg,
-            include_reconfigs=include_reconfigs,
-            timeout_ms=timeout_ms,
-            max_ii=max_ii,
-            per_ii_timeout_ms=per_ii_timeout_ms,
-            jobs=1,
-            audit=audit,
-            sanitize=sanitize,
+            include_reconfigs,
+            SolveStatus.INFEASIBLE if all_infeasible else SolveStatus.TIMEOUT,
+            elapsed_ms,
+            tried,
+            merged,
         )
 
     with WorkerPool(jobs) as pool:
@@ -589,9 +535,4 @@ def modulo_schedule_parallel(
             cap = min(solutions) - 1 if solutions else hi
             submit_up_to(min(cap, hi))
 
-        winner = best_decided()
-        if winner is not None:
-            return finish(winner)
-        return finish(None, timed_out=any(
-            s is not SolveStatus.INFEASIBLE for s in statuses.values()
-        ))
+        return finish(best_decided())

@@ -1,13 +1,10 @@
-"""Schedule representation and independent verification.
+"""Schedule representation.
 
 :class:`Schedule` is the output of every scheduling path (CP, greedy,
 baseline): start cycles for all nodes, plus memory slots for vector data
-when allocation was performed.
-
-:func:`verify_schedule` re-checks a schedule against the architecture
-rules *without* the CP machinery — by direct recomputation — so tests
-can catch modeling bugs: a constraint model and an independent checker
-have to agree.
+when allocation was performed.  The independent checker that re-derives
+the architecture rules without the CP machinery is
+:func:`repro.analysis.audit_schedule`.
 """
 
 from __future__ import annotations
@@ -15,13 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.arch.eit import DEFAULT_CONFIG, EITConfig, ResourceKind
-from repro.cp.search import SearchStats, SolveStatus
+from repro.arch.eit import EITConfig, ResourceKind
+from repro.cp.search import SolveStatus
+from repro.cp.stats import SolverStats
 from repro.ir.graph import DataNode, Graph, Node, OpNode
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.analysis.certify import Certificate
-    from repro.analysis.diagnostics import DiagnosticReport
     from repro.analysis.equivalence import PassCertificate
 
 
@@ -36,7 +33,7 @@ class Schedule:
     slots: Dict[int, int] = field(default_factory=dict)  # vector data -> slot
     status: SolveStatus = SolveStatus.FEASIBLE
     solve_time_ms: float = 0.0
-    search_stats: Optional[SearchStats] = None
+    search_stats: Optional[SolverStats] = None
     #: True when the CP budget expired without an incumbent and the
     #: starts come from the greedy list scheduler instead (no slots).
     fallback: bool = False
@@ -115,30 +112,3 @@ class Schedule:
             f"slots_used={self.slots_used() if self.slots else 'n/a'}, "
             f"status={self.status.value})"
         )
-
-
-class VerificationErrors(List[str]):
-    """Backward-compatible ``List[str]`` with the structured report attached.
-
-    One rendered line per ERROR-severity diagnostic, so legacy callers
-    (``assert verify_schedule(s) == []``, substring greps) keep working;
-    new code reads ``.report`` for codes, locations and hints.
-    """
-
-    def __init__(self, report: "DiagnosticReport"):
-        super().__init__(d.render() for d in report.errors)
-        self.report = report
-
-
-def verify_schedule(sched: Schedule, check_memory: bool = True) -> List[str]:
-    """Independently re-check a schedule; returns a list of violations.
-
-    Deprecated shim over :func:`repro.analysis.audit_schedule`, which
-    re-derives eqs. 1-5 (and 6-11 when slots are present) without any
-    of the CP model code.  Returns a :class:`VerificationErrors` — a
-    ``List[str]`` whose ``.report`` carries the structured
-    :class:`~repro.analysis.diagnostics.DiagnosticReport`.
-    """
-    from repro.analysis import audit_schedule
-
-    return VerificationErrors(audit_schedule(sched, check_memory=check_memory))

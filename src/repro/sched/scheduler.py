@@ -29,14 +29,20 @@ The CP search is bracketed by the static bounds engine
 from __future__ import annotations
 
 import time
-from typing import Callable, Optional, Sequence, Tuple
+from dataclasses import replace
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Tuple
 
 from repro.arch.eit import DEFAULT_CONFIG, EITConfig
-from repro.cp import Inconsistency, Search, SolveStatus, SolverStats
+from repro.cp import Inconsistency, Search, SearchResult, SolveStatus, SolverStats
 from repro.ir.graph import Graph
+from repro.ir.passes import optimize_for_solve
 from repro.sched.list_sched import greedy_schedule
 from repro.sched.model import ScheduleModel
 from repro.sched.result import Schedule
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.analysis.certify import Certificate
+    from repro.analysis.equivalence import PassCertificate
 
 
 def schedule(
@@ -128,228 +134,149 @@ def schedule(
       memory slots, the paper's 8-slot row of Table 1) or none was found
       in budget; ``starts`` is empty then.
     """
+    pass_certificates: Tuple["PassCertificate", ...] = ()
     if optimize:
-        from repro.analysis import AuditError, verify_pipeline
-        from repro.ir.passes import optimize_graph
-
-        opt = optimize_graph(graph, passes=passes)
-        if not opt.report.ok:
-            raise AuditError(opt.report)
-        if audit:
-            chain_report = verify_pipeline(opt.certificates, graph, opt.graph)
-            if not chain_report.ok:
-                raise AuditError(chain_report)
-        s = schedule(
-            opt.graph,
-            cfg=cfg,
-            n_slots=n_slots,
-            with_memory=with_memory,
-            timeout_ms=timeout_ms,
-            horizon=horizon,
-            memory_encoding=memory_encoding,
-            should_stop=should_stop,
-            audit=audit,
-            sanitize=sanitize,
-            optimize=False,
-        )
-        s.pass_certificates = tuple(opt.certificates)
-        return s
-
+        opt = optimize_for_solve(graph, passes, audit)
+        graph, pass_certificates = opt.graph, opt.certificates
     if n_slots is not None:
         cfg = cfg.with_slots(n_slots)
 
+    from repro.analysis.sanitize import make_sanitizer
+
+    san = make_sanitizer(sanitize, subject=f"schedule:{graph.name}")
+    sched = _solve(graph, cfg, with_memory, timeout_ms, horizon,
+                   memory_encoding, should_stop, san)
+    sched.pass_certificates = pass_certificates
+    return _audited(sched, audit, san)
+
+
+def _solve(
+    graph: Graph,
+    cfg: EITConfig,
+    with_memory: bool,
+    timeout_ms: Optional[float],
+    horizon: Optional[int],
+    memory_encoding: str,
+    should_stop: Optional[Callable[[], bool]],
+    san,
+) -> Schedule:
+    """The bounds-bracketed search behind :func:`schedule` (unaudited)."""
     from repro.analysis.bounds import (
         horizon_precheck,
         makespan_lower_bound,
         memory_precheck,
     )
-    from repro.analysis.sanitize import make_sanitizer
-
-    san = make_sanitizer(sanitize, subject=f"schedule:{graph.name}")
 
     t0 = time.monotonic()
 
+    def elapsed_ms() -> float:
+        return (time.monotonic() - t0) * 1000.0
+
     # -- search-free infeasibility proofs ------------------------------
-    if with_memory:
-        cert = memory_precheck(graph, cfg)
-        if cert is not None:
-            return _audited(
-                Schedule(
-                    graph=graph,
-                    cfg=cfg,
-                    starts={},
-                    makespan=-1,
-                    status=SolveStatus.INFEASIBLE,
-                    certificate=cert,
-                ),
-                audit,
-                san,
-            )
-    if horizon is not None:
+    cert = memory_precheck(graph, cfg) if with_memory else None
+    if cert is None and horizon is not None:
         cert = horizon_precheck(graph, cfg, horizon)
-        if cert is not None:
-            return _audited(
-                Schedule(
-                    graph=graph,
-                    cfg=cfg,
-                    starts={},
-                    makespan=-1,
-                    status=SolveStatus.INFEASIBLE,
-                    certificate=cert,
-                ),
-                audit,
-                san,
-            )
+    if cert is not None:
+        return infeasible_schedule(graph, cfg, certificate=cert)
 
     bounds = makespan_lower_bound(graph, cfg)
     merged = SolverStats()
 
-    # -- the destructive lower-bound probe -----------------------------
-    # Only when the caller imposed no horizon: with an explicit horizon
-    # the exact legacy search semantics are preserved.
-    floor_proven_above = False
-    if horizon is None:
-        probe_budget = timeout_ms / 2.0 if timeout_ms is not None else None
-        # The node cap bounds the damage of a *hopeless* probe: when the
-        # bound is not tight, refuting it can cost as much as the full
-        # optimality proof, and spending half the budget learning nothing
-        # would push borderline solves into timeout.  A capped probe
-        # either decides quickly (solution => optimal; refutation =>
-        # floor+1) or aborts after a small, graph-proportional effort and
-        # hands essentially the whole budget to the main search.
-        probe_nodes = max(512, 8 * sum(1 for _ in graph.nodes()))
-        probe, refuted, probe_stats = _probe_at_bound(
+    def model_at(h: Optional[int]) -> ScheduleModel:
+        return ScheduleModel(
             graph,
             cfg,
-            bounds.value,
-            with_memory,
-            memory_encoding,
-            probe_budget,
-            probe_nodes,
-            should_stop,
-            san,
-        )
-        merged.merge(probe_stats)
-        if probe is not None:
-            starts, slots = probe
-            from repro.analysis.certify import Certificate
-
-            return _audited(
-                Schedule(
-                    graph=graph,
-                    cfg=cfg,
-                    starts=starts,
-                    makespan=bounds.value,
-                    slots=slots,
-                    status=SolveStatus.OPTIMAL,
-                    solve_time_ms=(time.monotonic() - t0) * 1000.0,
-                    search_stats=merged,
-                    certificate=Certificate(
-                        kind="optimal",
-                        subject="schedule",
-                        family=bounds.family,
-                        bound=bounds.value,
-                        achieved=bounds.value,
-                        detail=bounds.explain(),
-                    ),
-                ),
-                audit,
-                san,
-            )
-        floor_proven_above = refuted
-
-    # -- the main minimization -----------------------------------------
-    try:
-        model = ScheduleModel(
-            graph,
-            cfg,
-            horizon=horizon,
+            horizon=h,
             with_memory=with_memory,
             memory_encoding=memory_encoding,
             sanitizer=san,
         )
+
+    def minimize(model: ScheduleModel, **budget) -> SearchResult:
+        search = Search(model.store, should_stop=should_stop, **budget)
+        return search.minimize(model.makespan, model.phases())
+
+    # -- the destructive lower-bound probe (see the module docstring) ---
+    # Only when the caller imposed no horizon: with an explicit horizon
+    # the exact legacy search semantics are preserved.  A root wipe-out
+    # while building the probe model is a complete refutation too.
+    floor_proven_above = False
+    if horizon is None:
+        try:
+            probe_model = model_at(bounds.value)
+        except Inconsistency:
+            floor_proven_above = True
+        else:
+            # The node cap bounds the damage of a *hopeless* probe: when
+            # the bound is not tight, refuting it can cost as much as the
+            # full optimality proof.  A capped probe either decides
+            # quickly or hands essentially the whole budget to the main
+            # search after a small, graph-proportional effort.
+            probe = minimize(
+                probe_model,
+                timeout_ms=timeout_ms / 2.0 if timeout_ms is not None else None,
+                node_limit=max(512, 8 * sum(1 for _ in graph.nodes())),
+            )
+            # the probe's own caps are not a budget expiry of this solve
+            probe.stats.timed_out = False
+            merged.merge(probe.stats)
+            if probe.found:
+                return _solution(
+                    probe_model, probe, bounds, elapsed_ms(), merged
+                )
+            floor_proven_above = probe.status is SolveStatus.INFEASIBLE
+
+    # -- the main minimization -----------------------------------------
+    try:
+        model = model_at(horizon)
         if floor_proven_above:
             # the probe *proved* nothing fits at the bound itself
             model.store.set_min(model.makespan, bounds.value + 1)
     except Inconsistency:
         # Root propagation already wiped out a domain: provably infeasible.
-        return _audited(
-            Schedule(
-                graph=graph,
-                cfg=cfg,
-                starts={},
-                makespan=-1,
-                status=SolveStatus.INFEASIBLE,
-                solve_time_ms=(time.monotonic() - t0) * 1000.0,
-                search_stats=merged if merged.nodes else None,
-            ),
-            audit,
-            san,
+        return infeasible_schedule(
+            graph,
+            cfg,
+            solve_time_ms=elapsed_ms(),
+            search_stats=merged if merged.nodes else None,
         )
 
     remaining = timeout_ms
     if timeout_ms is not None:
-        remaining = timeout_ms - (time.monotonic() - t0) * 1000.0
+        remaining = timeout_ms - elapsed_ms()
         if remaining <= 0.0:
             merged.timed_out = True
-            greedy = greedy_schedule(graph, cfg)
-            return _audited(
-                Schedule(
-                    graph=graph,
-                    cfg=cfg,
-                    starts=greedy.starts,
-                    makespan=greedy.makespan,
-                    status=SolveStatus.TIMEOUT,
-                    solve_time_ms=(time.monotonic() - t0) * 1000.0,
-                    search_stats=merged,
-                    fallback=True,
-                ),
-                audit,
-                san,
-            )
+            return greedy_fallback(graph, cfg, elapsed_ms(), merged)
 
-    search = Search(model.store, timeout_ms=remaining, should_stop=should_stop)
-    result = search.minimize(model.makespan, model.phases())
+    result = minimize(model, timeout_ms=remaining)
     merged.merge(result.stats)
     merged.time_to_best_ms = result.stats.time_to_best_ms
     merged.objective_timeline = result.stats.objective_timeline
-    elapsed_ms = (time.monotonic() - t0) * 1000.0
+    if result.found:
+        return _solution(model, result, bounds, elapsed_ms(), merged)
+    if result.status is SolveStatus.TIMEOUT:
+        # Graceful degradation: budget exhausted before the search
+        # reached its first solution.
+        return greedy_fallback(graph, cfg, elapsed_ms(), merged)
+    return infeasible_schedule(
+        graph, cfg, solve_time_ms=elapsed_ms(), search_stats=merged
+    )
 
-    if not result.found:
-        if result.status is SolveStatus.TIMEOUT:
-            # Graceful degradation: budget exhausted before the search
-            # reached its first solution.  Fall back to the greedy list
-            # schedule (resource-feasible by construction, no memory
-            # allocation) rather than handing back nothing.
-            greedy = greedy_schedule(graph, cfg)
-            return _audited(
-                Schedule(
-                    graph=graph,
-                    cfg=cfg,
-                    starts=greedy.starts,
-                    makespan=greedy.makespan,
-                    status=SolveStatus.TIMEOUT,
-                    solve_time_ms=elapsed_ms,
-                    search_stats=merged,
-                    fallback=True,
-                ),
-                audit,
-                san,
-            )
-        return _audited(
-            Schedule(
-                graph=graph,
-                cfg=cfg,
-                starts={},
-                makespan=-1,
-                status=result.status,
-                solve_time_ms=elapsed_ms,
-                search_stats=merged,
-            ),
-            audit,
-            san,
-        )
 
+def _solution(
+    model: ScheduleModel,
+    result: SearchResult,
+    bounds,
+    solve_time_ms: float,
+    stats: SolverStats,
+) -> Schedule:
+    """The schedule of a found incumbent (lower-bound probe or main search).
+
+    An incumbent that meets the static lower bound is optimal by
+    arithmetic even if the search itself was cut short: it is reported
+    OPTIMAL with an ``optimal`` certificate naming the bound family.
+    """
+    graph = model.graph
     starts = {
         n.nid: result.value(model.start[n.nid].name) for n in graph.nodes()
     }
@@ -362,8 +289,6 @@ def schedule(
     status = result.status
     certificate = None
     if result.objective == bounds.value:
-        # the incumbent meets a static lower bound: optimal by
-        # arithmetic even if the search itself was cut short
         from repro.analysis.certify import Certificate
 
         status = SolveStatus.OPTIMAL
@@ -375,76 +300,63 @@ def schedule(
             achieved=result.objective,
             detail=bounds.explain(),
         )
-    return _audited(
-        Schedule(
-            graph=graph,
-            cfg=cfg,
-            starts=starts,
-            makespan=result.objective,
-            slots=slots,
-            status=status,
-            solve_time_ms=elapsed_ms,
-            search_stats=merged,
-            certificate=certificate,
-        ),
-        audit,
-        san,
+    return Schedule(
+        graph=graph,
+        cfg=model.cfg,
+        starts=starts,
+        makespan=result.objective,
+        slots=slots,
+        status=status,
+        solve_time_ms=solve_time_ms,
+        search_stats=stats,
+        certificate=certificate,
     )
 
 
-def _probe_at_bound(
+def infeasible_schedule(
     graph: Graph,
     cfg: EITConfig,
-    floor: int,
-    with_memory: bool,
-    memory_encoding: str,
-    timeout_ms: Optional[float],
-    node_limit: int,
-    should_stop: Optional[Callable[[], bool]],
-    sanitizer=None,
-) -> Tuple[Optional[Tuple[dict, dict]], bool, SolverStats]:
-    """One satisfaction solve at ``horizon = static lower bound``.
+    certificate: Optional["Certificate"] = None,
+    solve_time_ms: float = 0.0,
+    search_stats: Optional[SolverStats] = None,
+) -> Schedule:
+    """The INFEASIBLE result: no starts, makespan -1.
 
-    Returns ``((starts, slots), refuted, stats)``.  A found solution has
-    makespan exactly ``floor`` — optimal by construction.  ``refuted``
-    is True only on a *complete* infeasibility proof (including a root
-    propagation wipe-out while building the model), which licenses
-    raising the main search's floor; a timeout or node-cap expiry proves
-    nothing.  The stats never carry ``timed_out``: the probe's internal
-    caps are not a budget expiry of the solve the caller returns.
+    ``certificate`` carries the static proof when a pre-check decided
+    the solve with zero search nodes.
     """
-    try:
-        model = ScheduleModel(
-            graph,
-            cfg,
-            horizon=floor,
-            with_memory=with_memory,
-            memory_encoding=memory_encoding,
-            sanitizer=sanitizer,
-        )
-    except Inconsistency:
-        return None, True, SolverStats()
-    search = Search(
-        model.store,
-        timeout_ms=timeout_ms,
-        node_limit=node_limit,
-        should_stop=should_stop,
+    return Schedule(
+        graph=graph,
+        cfg=cfg,
+        starts={},
+        makespan=-1,
+        status=SolveStatus.INFEASIBLE,
+        solve_time_ms=solve_time_ms,
+        search_stats=search_stats,
+        certificate=certificate,
     )
-    result = search.minimize(model.makespan, model.phases())
-    result.stats.timed_out = False
-    if result.found:
-        starts = {
-            n.nid: result.value(model.start[n.nid].name)
-            for n in graph.nodes()
-        }
-        slots = {}
-        if model.memory is not None:
-            slots = {
-                d.nid: result.value(model.memory.slot[d.nid].name)
-                for d in model.memory.vdata
-            }
-        return (starts, slots), False, result.stats
-    return None, result.status is SolveStatus.INFEASIBLE, result.stats
+
+
+def greedy_fallback(
+    graph: Graph,
+    cfg: EITConfig,
+    solve_time_ms: float = 0.0,
+    search_stats: Optional[SolverStats] = None,
+) -> Schedule:
+    """The TIMEOUT result: the greedy list schedule instead of nothing.
+
+    Resource-feasible by construction, with no memory allocation
+    (``fallback=True``, no slots).  Used when the search budget expires
+    before any incumbent, and by :mod:`repro.sched.parallel` when a
+    worker crashes or hangs.
+    """
+    return replace(
+        greedy_schedule(graph, cfg),
+        status=SolveStatus.TIMEOUT,
+        solve_time_ms=solve_time_ms,
+        search_stats=search_stats,
+        fallback=True,
+    )
 
 
 def _audited(sched: Schedule, audit: bool, san=None) -> Schedule:

@@ -41,7 +41,6 @@ from repro.sched.modulo import (
     modulo_schedule,
     resource_lower_bound,
 )
-from repro.sched.parallel import modulo_schedule_parallel
 
 BUILDERS = {
     "qrd": build_qrd,
@@ -232,8 +231,8 @@ class TestModuloIntegration:
 
     def test_parallel_certified_empty_window(self, matmul):
         lb = resource_lower_bound(matmul, DEFAULT_CONFIG, False)
-        m = modulo_schedule_parallel(matmul, max_ii=lb - 1, jobs=2,
-                                     timeout_ms=60_000, audit=True)
+        m = modulo_schedule(matmul, max_ii=lb - 1, jobs=2,
+                            timeout_ms=60_000, audit=True)
         assert m.status is SolveStatus.INFEASIBLE
         assert m.certificate is not None
         assert m.certificate.family == "ii-window"

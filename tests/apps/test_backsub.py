@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.analysis import audit_schedule
 from repro.apps import backsub, qrd
 from repro.arch.eit import ResourceKind
 from repro.codegen import generate
 from repro.cp import SolveStatus
 from repro.ir import merge_pipeline_ops, stats, validate
-from repro.sched import schedule, verify_schedule
+from repro.sched import schedule
 from repro.sim import simulate
 
 
@@ -73,7 +74,7 @@ class TestFullFlow:
         g = merge_pipeline_ops(backsub.build())
         s = schedule(g, timeout_ms=60_000)
         assert s.status is SolveStatus.OPTIMAL
-        assert verify_schedule(s) == []
+        assert audit_schedule(s).ok
         res = simulate(generate(s))
         assert res.ok and res.mismatches(g) == []
 

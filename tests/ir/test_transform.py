@@ -252,13 +252,14 @@ class TestCSE:
         from repro.apps import build_matmul
         from repro.codegen import generate
         from repro.ir import common_subexpression_elimination
-        from repro.sched import schedule, verify_schedule
+        from repro.analysis import audit_schedule
+        from repro.sched import schedule
         from repro.sim import simulate
 
         g = merge_pipeline_ops(
             common_subexpression_elimination(build_matmul())
         )
         s = schedule(g, timeout_ms=30_000)
-        assert verify_schedule(s) == []
+        assert audit_schedule(s).ok
         res = simulate(generate(s))
         assert res.ok and res.mismatches(g) == []

@@ -5,7 +5,7 @@ the constraint model solved by branch-and-bound, and the greedy
 earliest-fit list scheduler — are run on a population of seeded random
 kernels and cross-checked:
 
-* both must pass :func:`repro.sched.verify_schedule` (an implementation
+* both must pass :func:`repro.analysis.audit_schedule` (an implementation
   bug in either scheduler or in the shared architecture rules shows up
   as a verifier disagreement);
 * the CP makespan must never exceed the greedy one (the greedy result
@@ -18,10 +18,11 @@ covers scalar-heavy, matrix-heavy and merge-heavy kernels.
 
 import pytest
 
+from repro.analysis import audit_schedule
 from repro.apps.synth import SynthSpec, random_kernel
 from repro.cp import SolveStatus
 from repro.ir import critical_path, merge_pipeline_ops
-from repro.sched import greedy_schedule, schedule, verify_schedule
+from repro.sched import greedy_schedule, schedule
 
 N_KERNELS = 20
 
@@ -60,11 +61,11 @@ class TestDifferential:
         assert cp.status in (SolveStatus.OPTIMAL, SolveStatus.FEASIBLE), (
             f"{g.name}: CP scheduler returned {cp.status}"
         )
-        assert verify_schedule(cp) == []
+        assert audit_schedule(cp).ok
 
     def test_greedy_schedule_verifies(self, kernel_pair):
         g, _, greedy = kernel_pair
-        assert verify_schedule(greedy, check_memory=False) == []
+        assert audit_schedule(greedy, check_memory=False).ok
 
     def test_cp_schedule_audits_clean(self, kernel_pair):
         # the structured oracle: zero diagnostics of any severity from

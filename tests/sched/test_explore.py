@@ -4,12 +4,16 @@ import pytest
 
 from repro.apps import build_matmul
 from repro.arch.eit import EITConfig
+from repro.cache import ScheduleCache, cache_key
+from repro.ir import merge_pipeline_ops
 from repro.sched.explore import (
     STANDARD_PROFILES,
     DesignPoint,
     explore,
+    explore_detailed,
     pareto_front,
 )
+from repro.sched.modulo import derive_per_ii_timeout
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +71,58 @@ class TestExplore:
     def test_standard_profiles_valid(self):
         for cfg in STANDARD_PROFILES.values():
             assert cfg.n_lanes >= 1
+
+
+SWEEP_MS = 120_000.0
+
+
+@pytest.fixture(scope="module")
+def cached_sweep():
+    cache = ScheduleCache()
+    outcome = explore_detailed(
+        {"matmul": build_matmul},
+        {p: STANDARD_PROFILES[p] for p in ("eit", "tinymem")},
+        timeout_ms=SWEEP_MS,
+        modulo_timeout_ms=SWEEP_MS,
+        cache=cache,
+    )
+    return outcome, cache
+
+
+class TestSweepPayloads:
+    """The cached payloads, read back with the recipe external readers use."""
+
+    def test_modulo_payload_is_a_hit_under_the_documented_key(
+        self, cached_sweep
+    ):
+        outcome, cache = cached_sweep
+        graph = merge_pipeline_ops(build_matmul())
+        cfg = STANDARD_PROFILES["eit"]
+        key = cache_key(graph, cfg, "modulo", {
+            "include_reconfigs": False,
+            "timeout_ms": SWEEP_MS,
+            "per_ii_timeout_ms": derive_per_ii_timeout(
+                SWEEP_MS, graph, cfg, False
+            ),
+        })
+        hits = cache.stats.hits
+        payload = cache.get(key)
+        assert payload is not None
+        assert cache.stats.hits == hits + 1
+        assert payload["kind"] == "modulo"
+        eit = next(p for p in outcome.points if p.profile == "eit")
+        assert payload["actual_ii"] == eit.modulo_ii > 0
+
+    def test_tinymem_cell_certified_infeasible_exactly_once(
+        self, cached_sweep
+    ):
+        outcome, cache = cached_sweep
+        assert outcome.certified_infeasible == 1
+        assert cache.stats.bound_pruned == 1
+        tiny = next(p for p in outcome.points if p.profile == "tinymem")
+        assert (tiny.status, tiny.makespan, tiny.modulo_ii) == (
+            "infeasible", -1, -1
+        )
 
 
 def _pt(profile, makespan, ii):

@@ -2,17 +2,18 @@
 
 import pytest
 
+from repro.analysis import audit_schedule
 from repro.apps import build_arf, build_matmul, build_qrd
 from repro.arch.eit import EITConfig
 from repro.ir import critical_path, merge_pipeline_ops
-from repro.sched import greedy_schedule, verify_schedule
+from repro.sched import greedy_schedule
 
 
 @pytest.mark.parametrize("builder", [build_matmul, build_arf, build_qrd])
 def test_greedy_is_valid(builder):
     g = merge_pipeline_ops(builder())
     s = greedy_schedule(g)
-    assert verify_schedule(s, check_memory=False) == []
+    assert audit_schedule(s, check_memory=False).ok
 
 
 @pytest.mark.parametrize("builder", [build_matmul, build_arf, build_qrd])
@@ -34,7 +35,7 @@ def test_respects_lane_limit_when_narrow():
     g = merge_pipeline_ops(build_matmul())
     narrow = EITConfig(n_lanes=1)
     s = greedy_schedule(g, narrow)
-    assert verify_schedule(s, check_memory=False) == []
+    assert audit_schedule(s, check_memory=False).ok
     wide = greedy_schedule(g)
     assert s.makespan > wide.makespan
 
@@ -43,9 +44,9 @@ def test_config_exclusivity_in_greedy():
     g = merge_pipeline_ops(build_qrd())
     s = greedy_schedule(g)
     stream = s.vector_config_stream()
-    # verify_schedule already covers this, but assert directly too:
+    # audit_schedule already covers this, but assert directly too:
     # at most one configuration per cycle by construction
-    assert verify_schedule(s, check_memory=False) == []
+    assert audit_schedule(s, check_memory=False).ok
     assert any(c is not None for c in stream)
 
 

@@ -2,13 +2,14 @@
 
 import pytest
 
+from repro.analysis import audit_schedule
 from repro.arch.eit import DEFAULT_CONFIG, EITConfig
 from repro.arch.isa import OpCategory
 from repro.arch.memory import MemoryLayout
 from repro.cp import SolveStatus
 from repro.dsl import EITVector, trace
 from repro.ir.graph import Graph
-from repro.sched import schedule, verify_schedule
+from repro.sched import schedule
 from repro.sched.model import ScheduleModel
 
 
@@ -27,7 +28,7 @@ class TestChanneling:
         for d in g.nodes_of(OpCategory.VECTOR_DATA):
             slot = s.slots[d.nid]
             assert 0 <= slot < s.cfg.n_slots
-        assert verify_schedule(s) == []
+        assert audit_schedule(s).ok
 
 
 class TestEq7InputCompatibility:
@@ -45,7 +46,7 @@ class TestEq7InputCompatibility:
             y = EITVector(2, 2, 2, 2)
             x.axpy(3, y)
         s = schedule(t.graph, timeout_ms=10_000)
-        assert verify_schedule(s) == []
+        assert audit_schedule(s).ok
 
     def test_tight_single_page_memory(self):
         """With 4 slots (all in page 0, line 0) inputs trivially share a
@@ -53,7 +54,7 @@ class TestEq7InputCompatibility:
         g = one_binary_op()
         s = schedule(g, n_slots=4, timeout_ms=10_000)
         assert s.status is SolveStatus.OPTIMAL
-        assert verify_schedule(s) == []
+        assert audit_schedule(s).ok
 
 
 class TestEq89SimultaneousOps:
@@ -66,7 +67,7 @@ class TestEq89SimultaneousOps:
                 EITVector(i, i, i, i) + EITVector(1, 2, 3, 4)
         s = schedule(t.graph, timeout_ms=30_000)
         assert s.status is SolveStatus.OPTIMAL
-        assert verify_schedule(s) == []
+        assert audit_schedule(s).ok
         # optimal schedule co-issues all four adds
         assert s.makespan == 7
 
@@ -83,7 +84,7 @@ class TestEq89SimultaneousOps:
         s = schedule(g, n_slots=2, timeout_ms=10_000)
         assert s.status is SolveStatus.OPTIMAL
         assert s.slots_used() == 2
-        assert verify_schedule(s) == []
+        assert audit_schedule(s).ok
 
 
 class TestLifetimes:
@@ -98,7 +99,7 @@ class TestLifetimes:
         s = schedule(g, n_slots=3, timeout_ms=20_000)
         assert s.status is SolveStatus.OPTIMAL
         assert s.slots_used() <= 3
-        assert verify_schedule(s) == []
+        assert audit_schedule(s).ok
 
     def test_output_distinctness_redundant_constraint(self):
         """Kernels whose outputs outnumber memory are proved infeasible
@@ -143,7 +144,7 @@ class TestTableEncoding:
         a = schedule(g, timeout_ms=10_000)
         b = schedule(g, timeout_ms=30_000, memory_encoding="table")
         assert a.makespan == b.makespan
-        assert verify_schedule(b) == []
+        assert audit_schedule(b).ok
 
     def test_parallel_adds_same_optimum(self):
         with trace() as t:
@@ -153,7 +154,7 @@ class TestTableEncoding:
         a = schedule(g, timeout_ms=30_000)
         b = schedule(g, timeout_ms=60_000, memory_encoding="table")
         assert a.makespan == b.makespan == 7
-        assert verify_schedule(b) == []
+        assert audit_schedule(b).ok
 
     def test_unknown_encoding_rejected(self):
         import pytest as _pytest

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis import audit_modulo
 from repro.apps import build_arf, build_matmul
 from repro.arch.eit import DEFAULT_CONFIG, EITConfig
 from repro.cp import SolveStatus
@@ -10,7 +11,6 @@ from repro.ir import merge_pipeline_ops
 from repro.sched.modulo import (
     modulo_schedule,
     resource_lower_bound,
-    verify_modulo,
     window_config_stream,
 )
 
@@ -52,14 +52,14 @@ class TestMatmulRow:
         assert r.n_reconfigurations == 1  # single run = startup load only
         assert r.actual_ii == 4  # no steady-state penalty
         assert r.throughput == pytest.approx(0.25)
-        assert verify_modulo(r, matmul_graph) == []
+        assert audit_modulo(r, matmul_graph).ok
 
     def test_including_reconfigs(self, matmul_graph):
         r = modulo_schedule(matmul_graph, include_reconfigs=True,
                             timeout_ms=60_000)
         assert r.status is SolveStatus.OPTIMAL
         assert r.ii == 4 and r.throughput == pytest.approx(0.25)
-        assert verify_modulo(r, matmul_graph) == []
+        assert audit_modulo(r, matmul_graph).ok
 
 
 class TestArfRow:
@@ -68,7 +68,7 @@ class TestArfRow:
                             timeout_ms=60_000)
         assert r.found
         assert r.actual_ii > r.ii  # reconfigurations inflate the real II
-        assert verify_modulo(r, arf_graph) == []
+        assert audit_modulo(r, arf_graph).ok
 
     def test_including_beats_patching(self, arf_graph):
         excl = modulo_schedule(arf_graph, include_reconfigs=False,
@@ -78,13 +78,13 @@ class TestArfRow:
         assert incl.found
         assert incl.actual_ii < excl.actual_ii  # the paper's Table 3 claim
         assert incl.throughput > excl.throughput
-        assert verify_modulo(incl, arf_graph) == []
+        assert audit_modulo(incl, arf_graph).ok
 
     def test_reconfig_gaps_in_window(self, arf_graph):
         incl = modulo_schedule(arf_graph, include_reconfigs=True,
                                timeout_ms=60_000)
-        # verify_modulo checks the cyclic-distance rule explicitly
-        assert verify_modulo(incl, arf_graph) == []
+        # audit_modulo checks the cyclic-distance rule explicitly
+        assert audit_modulo(incl, arf_graph).ok
 
 
 class TestMechanics:
@@ -121,4 +121,4 @@ class TestMechanics:
         r = modulo_schedule(matmul_graph, cfg=narrow, timeout_ms=60_000)
         assert r.found
         assert r.ii >= 8  # 16 dotPs over 2 lanes
-        assert verify_modulo(r, matmul_graph, narrow) == []
+        assert audit_modulo(r, matmul_graph, narrow).ok

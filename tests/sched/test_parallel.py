@@ -2,11 +2,12 @@
 
 import pytest
 
+from repro.analysis import audit_modulo
 from repro.apps import SynthSpec, build_backsub, build_matmul, build_qrd, synth_suite
 from repro.arch.eit import DEFAULT_CONFIG, EITConfig
 from repro.ir import merge_pipeline_ops
 from repro.sched.explore import STANDARD_PROFILES, explore_detailed
-from repro.sched.modulo import greedy_modulo_fallback, modulo_schedule, verify_modulo
+from repro.sched.modulo import greedy_modulo_fallback, modulo_schedule
 from repro.sched.parallel import SolveRequest, default_jobs, solve_many
 
 PROFILES = {
@@ -94,7 +95,7 @@ class TestCrashIsolation:
             for incl in (False, True):
                 res = greedy_modulo_fallback(graph, DEFAULT_CONFIG, incl)
                 assert res.fallback and res.found
-                assert verify_modulo(res, graph, DEFAULT_CONFIG) == []
+                assert audit_modulo(res, graph, DEFAULT_CONFIG).ok
 
 
 class TestRacingModulo:
@@ -118,14 +119,13 @@ class TestRacingModulo:
         # bound proves feasible — they must be cancelled, and the
         # result must still be the sequential one.
         from repro.sched.modulo import ii_search_range
-        from repro.sched.parallel import modulo_schedule_parallel
 
         cfg = EITConfig(n_lanes=1)
         graph = merge_pipeline_ops(build_matmul())
         lb, hi, _ = ii_search_range(graph, cfg)
         assert hi > lb + 1  # the race has something to race over
         seq = modulo_schedule(graph, cfg, timeout_ms=120_000)
-        par = modulo_schedule_parallel(graph, cfg, timeout_ms=120_000, jobs=3)
+        par = modulo_schedule(graph, cfg, timeout_ms=120_000, jobs=3)
         assert _fingerprint(par) == _fingerprint(seq)
         assert seq.decision_fingerprint is not None
         assert par.decision_fingerprint == seq.decision_fingerprint

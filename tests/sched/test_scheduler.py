@@ -2,13 +2,14 @@
 
 import pytest
 
+from repro.analysis import audit_schedule
 from repro.apps import build_arf, build_matmul, build_qrd
 from repro.arch.eit import DEFAULT_CONFIG, EITConfig
 from repro.arch.isa import OpCategory
 from repro.cp import SolveStatus
 from repro.dsl import EITVector, trace
 from repro.ir import critical_path, merge_pipeline_ops
-from repro.sched import greedy_schedule, schedule, verify_schedule
+from repro.sched import greedy_schedule, schedule
 
 
 @pytest.fixture(scope="module")
@@ -21,7 +22,7 @@ class TestOptimality:
     def test_matmul_optimal_and_valid(self, matmul_sched):
         s = matmul_sched
         assert s.status is SolveStatus.OPTIMAL
-        assert verify_schedule(s) == []
+        assert audit_schedule(s).ok
 
     def test_matmul_known_optimum(self, matmul_sched):
         # 16 dotPs on 4 lanes (4 cycles), 7-cycle latency, 4 merges on a
@@ -39,14 +40,14 @@ class TestOptimality:
         s = schedule(g, timeout_ms=60_000)
         assert s.status is SolveStatus.OPTIMAL
         assert s.makespan == critical_path(g)[0]
-        assert verify_schedule(s) == []
+        assert audit_schedule(s).ok
 
     def test_single_op_kernel(self):
         with trace("one") as t:
             EITVector(1, 2, 3, 4) + EITVector(4, 3, 2, 1)
         s = schedule(t.graph, timeout_ms=10_000)
         assert s.makespan == DEFAULT_CONFIG.pipeline_depth
-        assert verify_schedule(s) == []
+        assert audit_schedule(s).ok
 
 
 class TestMemoryCoupling:
@@ -54,7 +55,7 @@ class TestMemoryCoupling:
         g = merge_pipeline_ops(build_matmul())
         s = schedule(g, with_memory=False, timeout_ms=30_000)
         assert s.slots == {}
-        assert verify_schedule(s, check_memory=False) == []
+        assert audit_schedule(s, check_memory=False).ok
 
     def test_slots_cover_all_vector_data(self, matmul_sched):
         g = matmul_sched.graph
@@ -95,7 +96,7 @@ class TestTimeoutFallback:
         assert s.fallback
         assert s.slots == {}
         assert s.makespan == greedy_schedule(g).makespan
-        assert verify_schedule(s, check_memory=False) == []
+        assert audit_schedule(s, check_memory=False).ok
         # partial telemetry still attached
         assert s.search_stats is not None and s.search_stats.timed_out
 
@@ -112,7 +113,7 @@ class TestTimeoutFallback:
         # the optimality proof may exceed the budget on 2 lanes; a valid
         # schedule of the right length is the point here
         assert s.status in (SolveStatus.OPTIMAL, SolveStatus.FEASIBLE)
-        assert verify_schedule(s) == []
+        assert audit_schedule(s).ok
         # 16 dotPs over 2 lanes need >= 8 issue cycles
         assert s.makespan >= 7 + 8
 
@@ -151,7 +152,7 @@ class TestVerifierCatchesViolations:
         bad.starts[victim.nid] = 0
         out = matmul_sched.graph.result(victim)
         bad.starts[out.nid] = 99  # break eq. 4
-        assert verify_schedule(bad, check_memory=False)
+        assert not audit_schedule(bad, check_memory=False).ok
 
     def test_lane_overload_detected(self):
         g = merge_pipeline_ops(build_matmul())
@@ -166,8 +167,8 @@ class TestVerifierCatchesViolations:
 
         bad = copy.copy(s)
         bad.starts = bad_starts
-        errors = verify_schedule(bad, check_memory=False)
-        assert any("lanes" in e for e in errors)
+        report = audit_schedule(bad, check_memory=False)
+        assert any("lanes" in d.render() for d in report.errors)
 
     def test_slot_collision_detected(self, matmul_sched):
         import copy
@@ -182,5 +183,7 @@ class TestVerifierCatchesViolations:
         # two long-lived inputs into the same slot
         bad.slots[inputs[0].nid] = 0
         bad.slots[inputs[1].nid] = 0
-        errors = verify_schedule(bad)
-        assert any("slot" in e or "bank" in e for e in errors)
+        report = audit_schedule(bad)
+        assert any(
+            "slot" in d.render() or "bank" in d.render() for d in report.errors
+        )

@@ -129,6 +129,42 @@ class TestCli:
         # the optimization's whole point: strictly fewer CP search nodes
         assert r["solver_nodes_opt"] < r["solver_nodes_base"]
 
+    @pytest.mark.parametrize("exp, fn, default", [
+        ("audit", "audit_kernels", "qrd,arf,matmul,backsub"),
+        ("bounds", "bounds_report", "qrd,arf,matmul,backsub"),
+        ("passes", "passes_report", "qrd,arf,matmul,backsub"),
+        ("sanitize", "sanitize_report", "qrd,arf,matmul,backsub"),
+        ("explore", "explore_bench", "qrd,arf,matmul"),
+    ])
+    def test_kernels_reach_the_report_unchanged(
+        self, monkeypatch, capsys, exp, fn, default
+    ):
+        # stubbed report: nothing is solved, only the arguments are seen
+        import repro.bench.__main__ as cli
+
+        seen = []
+
+        def stub(kernels, **kwargs):
+            seen.append(list(kernels))
+            return {"ok": True}
+
+        monkeypatch.setattr(cli, fn, stub)
+        assert main([exp, "--kernels", "qrd,arf,matmul", "--json"]) == 0
+        assert main([exp, "--json"]) == 0
+        assert seen == [["qrd", "arf", "matmul"], default.split(",")]
+
+    def test_failing_report_sets_exit_code(self, monkeypatch, tmp_path, capsys):
+        import json
+
+        import repro.bench.__main__ as cli
+
+        monkeypatch.setattr(
+            cli, "bounds_report", lambda kernels, **kw: {"ok": False}
+        )
+        out_file = tmp_path / "BOUNDS.json"
+        assert main(["bounds", "--json", "--out", str(out_file)]) == 1
+        assert json.loads(out_file.read_text()) == {"ok": False}
+
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
             main(["tableX"])

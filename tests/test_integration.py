@@ -8,12 +8,13 @@ bit-exact value comparison with the DSL trace.
 import numpy as np
 import pytest
 
+from repro.analysis import audit_modulo, audit_schedule
 from repro.apps import build_arf, build_matmul, build_qrd
 from repro.codegen import generate
 from repro.cp import SolveStatus
 from repro.ir import from_xml, merge_pipeline_ops, stats, to_xml, validate
-from repro.sched import overlap_iterations, schedule, verify_schedule
-from repro.sched.modulo import modulo_schedule, verify_modulo
+from repro.sched import overlap_iterations, schedule
+from repro.sched.modulo import modulo_schedule
 from repro.sim import simulate
 
 KERNELS = {"matmul": build_matmul, "arf": build_arf, "qrd": build_qrd}
@@ -37,7 +38,7 @@ def test_full_flow(name):
     # 4. scheduling + memory allocation (sections 3.3-3.5)
     s = schedule(g, timeout_ms=90_000)
     assert s.status is SolveStatus.OPTIMAL
-    assert verify_schedule(s) == []
+    assert audit_schedule(s).ok
 
     # 5. code generation
     prog = generate(s)
@@ -58,7 +59,7 @@ def test_multi_iteration_paths_agree_on_graph(name):
     assert ov.throughput > 0
     mod = modulo_schedule(g, timeout_ms=60_000, per_ii_timeout_ms=20_000)
     assert mod.found
-    assert verify_modulo(mod, g) == []
+    assert audit_modulo(mod, g).ok
     # steady-state modulo throughput beats (or matches) overlapped
     # execution at M=8 on every kernel — modulo is the stronger pipeline
     assert mod.throughput >= ov.throughput * 0.9
@@ -72,7 +73,7 @@ def test_schedule_then_degrade_memory_consistently():
     for n_slots in (64, 32, 16, 10):
         s = schedule(g, n_slots=n_slots, timeout_ms=90_000)
         assert s.status is SolveStatus.OPTIMAL
-        assert verify_schedule(s) == []
+        assert audit_schedule(s).ok
         if baseline is None:
             baseline = s.makespan
         assert s.makespan == baseline

@@ -18,7 +18,7 @@ from repro.codegen import generate
 from repro.cp import SolveStatus
 from repro.ir import critical_path, from_xml, merge_pipeline_ops, to_xml, validate
 from repro.ir.evaluate import evaluate
-from repro.sched import greedy_schedule, schedule, verify_schedule
+from repro.sched import greedy_schedule, schedule
 from repro.sim import simulate
 
 specs = st.builds(
@@ -65,7 +65,7 @@ def test_random_kernel_full_flow(spec):
     # diagnostics (lint + eqs. 1-11 + codegen hazards)
     s = schedule(g, timeout_ms=20_000, sanitize=True)
     assert s.status in (SolveStatus.OPTIMAL, SolveStatus.FEASIBLE)
-    assert verify_schedule(s) == []
+    assert audit_schedule(s).ok
     lint = lint_graph(g)
     assert lint.ok, lint.render()
     audit = audit_schedule(s)
